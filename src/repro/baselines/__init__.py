@@ -8,11 +8,14 @@
   (FAWN-KV style), the design NetChain moves into the network (Section 2.2).
 * :mod:`repro.baselines.primary_backup` -- the classical primary-backup
   protocol of Figure 1(a), used for the message-count comparison.
+* :mod:`repro.baselines.server_kv` -- the one client of both server-hosted
+  baselines (``cluster.kv_client(host)``).
 """
 
-from repro.baselines.chain_server import ServerChainCluster, ServerChainKVClient, ServerChainReplica
+from repro.baselines.chain_server import ServerChainCluster, ServerChainReplica
 from repro.baselines.data_tree import DataTree, Znode, ZnodeError
-from repro.baselines.primary_backup import PrimaryBackupCluster, PrimaryBackupKVClient
+from repro.baselines.primary_backup import PrimaryBackupCluster
+from repro.baselines.server_kv import ServerKVClient
 from repro.baselines.zk_client import ZkLock, ZkResult, ZooKeeperClient, ZooKeeperKVClient
 from repro.baselines.zookeeper import (
     ZooKeeperConfig,
@@ -35,7 +38,6 @@ __all__ = [
     "ZkResult",
     "ServerChainReplica",
     "ServerChainCluster",
-    "ServerChainKVClient",
     "PrimaryBackupCluster",
-    "PrimaryBackupKVClient",
+    "ServerKVClient",
 ]

@@ -12,31 +12,11 @@ message-count/latency ablation against NetChain and primary-backup.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient
+from repro.baselines.server_kv import ServerKVClient
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
-
-_request_ids = itertools.count(1)
-_client_ids = itertools.count(1)
-
-
-@dataclass
-class ChainResult:
-    """Outcome of one operation against the server chain."""
-
-    ok: bool
-    op: str
-    key: str
-    value: bytes = b""
-    version: int = 0
-    latency: float = 0.0
-    #: A compare-and-swap lost (expected value did not match at the head).
-    cas_failed: bool = False
-    #: A delete targeted a key the chain never stored.
-    not_found: bool = False
 
 
 class ServerChainReplica:
@@ -106,103 +86,10 @@ class ServerChainReplica:
         endpoint.send(reply, self.message_bytes)
 
 
-class ServerChainClient:
-    """A client of the server chain: writes go to the head, reads to the tail."""
-
-    def __init__(self, host: Host, cluster: "ServerChainCluster") -> None:
-        self.host = host
-        self.sim = host.sim
-        self.cluster = cluster
-        # The name keys the per-client reply endpoints on the replicas, so
-        # several clients on one host must not collide.
-        self.name = f"chain-client-{host.name}-{next(_client_ids)}"
-        self._pending: Dict[int, Dict[str, Any]] = {}
-        self.completed = 0
-        self.latencies: List[float] = []
-        # One connection to the head (writes) and one to the tail (replies
-        # and reads), as in the original protocol.
-        self._head_endpoint = self._connect(cluster.head())
-        self._tail_endpoint = self._connect(cluster.tail())
-
-    def _connect(self, replica: ServerChainReplica) -> TcpEndpoint:
-        conn = TcpConnection(self.host, replica.host, config=self.cluster.tcp_config)
-        replica.accept_client(self.name, conn.endpoint(replica.host))
-        endpoint = conn.endpoint(self.host)
-        endpoint.on_message = self._on_reply
-        return endpoint
-
-    def read_async(self, key: str, callback: Optional[Callable[[ChainResult], None]] = None) -> int:
-        return self._submit("read", key, b"", self._tail_endpoint, callback)
-
-    def write_async(self, key: str, value: bytes,
-                    callback: Optional[Callable[[ChainResult], None]] = None) -> int:
-        return self._submit("write", key, value, self._head_endpoint, callback)
-
-    def cas_async(self, key: str, expected: bytes, new_value: bytes,
-                  callback: Optional[Callable[[ChainResult], None]] = None) -> int:
-        return self._submit("cas", key, new_value, self._head_endpoint, callback,
-                            expected=expected)
-
-    def delete_async(self, key: str,
-                     callback: Optional[Callable[[ChainResult], None]] = None) -> int:
-        return self._submit("delete", key, b"", self._head_endpoint, callback)
-
-    def read(self, key: str, deadline: float = 5.0) -> ChainResult:
-        return self._sync(lambda cb: self.read_async(key, cb), deadline)
-
-    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ChainResult:
-        return self._sync(lambda cb: self.write_async(key, value, cb), deadline)
-
-    def cas(self, key: str, expected: bytes, new_value: bytes,
-            deadline: float = 5.0) -> ChainResult:
-        return self._sync(lambda cb: self.cas_async(key, expected, new_value, cb),
-                          deadline)
-
-    def delete(self, key: str, deadline: float = 5.0) -> ChainResult:
-        return self._sync(lambda cb: self.delete_async(key, cb), deadline)
-
-    def _submit(self, op: str, key: str, value: bytes, endpoint: TcpEndpoint,
-                callback: Optional[Callable[[ChainResult], None]],
-                **extra: Any) -> int:
-        request_id = next(_request_ids)
-        message = {"kind": "request", "request_id": request_id, "op": op, "key": key,
-                   "value": value, "client": self.name}
-        message.update(extra)
-        self._pending[request_id] = {"callback": callback, "op": op, "key": key,
-                                     "sent_at": self.sim.now}
-        endpoint.send(message, self.cluster.message_bytes)
-        return request_id
-
-    def _sync(self, submit, deadline: float) -> ChainResult:
-        box: List[ChainResult] = []
-        submit(box.append)
-        limit = self.sim.now + deadline
-        while not box and self.sim.pending() and self.sim.now < limit:
-            self.sim.run(until=min(limit, self.sim.now + 0.05))
-        if not box:
-            raise TimeoutError("no reply from the server chain")
-        return box[0]
-
-    def _on_reply(self, message: Dict[str, Any]) -> None:
-        if message.get("kind") != "reply":
-            return
-        pending = self._pending.pop(message.get("request_id"), None)
-        if pending is None:
-            return
-        latency = self.sim.now - pending["sent_at"]
-        self.completed += 1
-        self.latencies.append(latency)
-        result = ChainResult(ok=message.get("ok", False), op=pending["op"],
-                             key=pending["key"], value=message.get("value", b""),
-                             version=message.get("version", 0), latency=latency,
-                             cas_failed=message.get("cas_failed", False),
-                             not_found=message.get("not_found", False))
-        if pending["callback"] is not None:
-            pending["callback"](result)
-
-
 class ServerChainCluster:
     """A chain of replicas on servers, plus client factory."""
+
+    backend = "server-chain"
 
     def __init__(self, hosts: List[Host], tcp_config: Optional[TcpConfig] = None,
                  message_bytes: int = 150) -> None:
@@ -210,6 +97,8 @@ class ServerChainCluster:
             raise ValueError("a chain needs at least one server")
         self.tcp_config = tcp_config or TcpConfig()
         self.message_bytes = message_bytes
+        self.request_ids = itertools.count(1)
+        self.client_ids = itertools.count(1)
         self.replicas = [ServerChainReplica(i, host, message_bytes)
                          for i, host in enumerate(hosts)]
         for left, right in zip(self.replicas, self.replicas[1:], strict=False):
@@ -224,13 +113,11 @@ class ServerChainCluster:
     def tail(self) -> ServerChainReplica:
         return self.replicas[-1]
 
-    def client(self, host: Host) -> ServerChainClient:
-        """Create a client attached to this chain."""
-        return ServerChainClient(host, self)
-
-    def kv_client(self, host: Host) -> "ServerChainKVClient":
-        """A client adapted to the unified :class:`KVClient` protocol."""
-        return ServerChainKVClient(self.client(host))
+    def kv_client(self, host: Host) -> ServerKVClient:
+        """A client on ``host``: writes go to the head, reads to the tail
+        (which also sends every reply), as in the original protocol."""
+        return ServerKVClient(host, self, write_server=self.head(),
+                              read_server=self.tail())
 
     def preload(self, items: Dict[str, bytes]) -> None:
         """Bulk-load keys on every replica without simulating the writes."""
@@ -242,10 +129,3 @@ class ServerChainCluster:
         """Messages a write costs end to end: n forwards + 1 reply
         (Section 2.2: n+1 for chain replication)."""
         return len(self.replicas) + 1
-
-
-class ServerChainKVClient(ServerBaselineKVClient):
-    """The unified :class:`~repro.core.client.KVClient` protocol over a
-    chain client (see :class:`ServerBaselineKVClient`)."""
-
-    backend = "server-chain"

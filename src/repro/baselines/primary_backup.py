@@ -10,31 +10,11 @@ them before replying.  A write therefore costs ``2n`` messages (versus
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient
+from repro.baselines.server_kv import ServerKVClient
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
-
-_request_ids = itertools.count(1)
-_client_ids = itertools.count(1)
-
-
-@dataclass
-class PBResult:
-    """Outcome of a primary-backup operation."""
-
-    ok: bool
-    op: str
-    key: str
-    value: bytes = b""
-    version: int = 0
-    latency: float = 0.0
-    #: A compare-and-swap lost (expected value did not match at the primary).
-    cas_failed: bool = False
-    #: A delete targeted a key the primary never stored.
-    not_found: bool = False
 
 
 class _Backup:
@@ -147,12 +127,18 @@ class _Primary:
 class PrimaryBackupCluster:
     """A primary plus ``n-1`` backups, with a client factory."""
 
+    backend = "primary-backup"
+
     def __init__(self, hosts: List[Host], tcp_config: Optional[TcpConfig] = None,
                  message_bytes: int = 150) -> None:
         if not hosts:
             raise ValueError("primary-backup needs at least one server")
         self.tcp_config = tcp_config or TcpConfig()
         self.message_bytes = message_bytes
+        # Request ids key the primary's pending writes, so they must stay
+        # unique across every client of this cluster.
+        self.request_ids = itertools.count(1)
+        self.client_ids = itertools.count(1)
         self.primary = _Primary(hosts[0], message_bytes)
         self.backups = [_Backup(i, host, message_bytes) for i, host in enumerate(hosts[1:])]
         for backup in self.backups:
@@ -169,12 +155,10 @@ class PrimaryBackupCluster:
         (Section 2.2: 2n for primary-backup with n replicas)."""
         return 2 * (len(self.backups) + 1)
 
-    def client(self, host: Host) -> "PrimaryBackupClient":
-        return PrimaryBackupClient(host, self)
-
-    def kv_client(self, host: Host) -> "PrimaryBackupKVClient":
-        """A client adapted to the unified :class:`KVClient` protocol."""
-        return PrimaryBackupKVClient(self.client(host))
+    def kv_client(self, host: Host) -> ServerKVClient:
+        """A client on ``host`` that sends reads and writes to the primary."""
+        return ServerKVClient(host, self, write_server=self.primary,
+                              read_server=self.primary)
 
     def preload(self, items: Dict[str, bytes]) -> None:
         """Bulk-load keys on the primary and every backup directly."""
@@ -182,96 +166,3 @@ class PrimaryBackupCluster:
             self.primary.store[key] = (value, 1)
             for backup in self.backups:
                 backup.store[key] = (value, 1)
-
-
-class PrimaryBackupClient:
-    """A client that talks to the primary for both reads and writes."""
-
-    def __init__(self, host: Host, cluster: PrimaryBackupCluster) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.cluster = cluster
-        # The name keys the per-client reply endpoint at the primary, so
-        # several clients on one host must not collide.
-        self.name = f"pb-client-{host.name}-{next(_client_ids)}"
-        conn = TcpConnection(host, cluster.primary.host, config=cluster.tcp_config)
-        cluster.primary.accept_client(self.name, conn.endpoint(cluster.primary.host))
-        self._endpoint = conn.endpoint(host)
-        self._endpoint.on_message = self._on_reply
-        self._pending: Dict[int, Dict[str, Any]] = {}
-        self.completed = 0
-        self.latencies: List[float] = []
-
-    def read_async(self, key: str, callback: Optional[Callable[[PBResult], None]] = None) -> int:
-        return self._submit("read", key, b"", callback)
-
-    def write_async(self, key: str, value: bytes,
-                    callback: Optional[Callable[[PBResult], None]] = None) -> int:
-        return self._submit("write", key, value, callback)
-
-    def cas_async(self, key: str, expected: bytes, new_value: bytes,
-                  callback: Optional[Callable[[PBResult], None]] = None) -> int:
-        return self._submit("cas", key, new_value, callback, expected=expected)
-
-    def delete_async(self, key: str,
-                     callback: Optional[Callable[[PBResult], None]] = None) -> int:
-        return self._submit("delete", key, b"", callback)
-
-    def read(self, key: str, deadline: float = 5.0) -> PBResult:
-        return self._sync(lambda cb: self.read_async(key, cb), deadline)
-
-    def write(self, key: str, value: bytes, deadline: float = 5.0) -> PBResult:
-        return self._sync(lambda cb: self.write_async(key, value, cb), deadline)
-
-    def cas(self, key: str, expected: bytes, new_value: bytes,
-            deadline: float = 5.0) -> PBResult:
-        return self._sync(lambda cb: self.cas_async(key, expected, new_value, cb),
-                          deadline)
-
-    def delete(self, key: str, deadline: float = 5.0) -> PBResult:
-        return self._sync(lambda cb: self.delete_async(key, cb), deadline)
-
-    def _submit(self, op: str, key: str, value: bytes,
-                callback: Optional[Callable[[PBResult], None]],
-                **extra: Any) -> int:
-        request_id = next(_request_ids)
-        self._pending[request_id] = {"callback": callback, "op": op, "key": key,
-                                     "sent_at": self.sim.now}
-        message = {"op": op, "request_id": request_id, "key": key, "value": value,
-                   "client": self.name}
-        message.update(extra)
-        self._endpoint.send(message, self.cluster.message_bytes)
-        return request_id
-
-    def _sync(self, submit, deadline: float) -> PBResult:
-        box: List[PBResult] = []
-        submit(box.append)
-        limit = self.sim.now + deadline
-        while not box and self.sim.pending() and self.sim.now < limit:
-            self.sim.run(until=min(limit, self.sim.now + 0.05))
-        if not box:
-            raise TimeoutError("no reply from the primary")
-        return box[0]
-
-    def _on_reply(self, message: Dict[str, Any]) -> None:
-        if message.get("kind") != "reply":
-            return
-        pending = self._pending.pop(message.get("request_id"), None)
-        if pending is None:
-            return
-        latency = self.sim.now - pending["sent_at"]
-        self.completed += 1
-        self.latencies.append(latency)
-        result = PBResult(ok=message.get("ok", False), op=pending["op"], key=pending["key"],
-                          value=message.get("value", b""), version=message.get("version", 0),
-                          latency=latency, cas_failed=message.get("cas_failed", False),
-                          not_found=message.get("not_found", False))
-        if pending["callback"] is not None:
-            pending["callback"](result)
-
-
-class PrimaryBackupKVClient(ServerBaselineKVClient):
-    """The unified :class:`~repro.core.client.KVClient` protocol over a
-    primary-backup client (see :class:`ServerBaselineKVClient`)."""
-
-    backend = "primary-backup"

@@ -21,9 +21,8 @@ and the transaction benchmark run unmodified against the ensemble.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.data_tree import ERR_NO_NODE, ERR_VERSION_MISMATCH
 from repro.baselines.zookeeper import ZooKeeperEnsemble, ZooKeeperServer
@@ -66,60 +65,47 @@ class ZooKeeperClient:
         self._endpoint.on_message = self._on_message
         self.server.accept_client(self.session_id, self._conn.endpoint(self.server.host))
         self._xids = itertools.count(1)
-        self._pending: Dict[int, Dict[str, Any]] = {}
+        #: xid -> (op, sent_at, future) of each request awaiting a response.
+        self._pending: Dict[int, Tuple[str, float, KVFuture]] = {}
         self.watch_events: List[Dict[str, Any]] = []
         self.on_watch: Optional[Callable[[Dict[str, Any]], None]] = None
         self.completed = 0
-        self.latencies: List[float] = []
 
     # ------------------------------------------------------------------ #
     # Asynchronous API.
     # ------------------------------------------------------------------ #
 
-    def submit(self, op: str, callback: Optional[Callable[[ZkResult], None]] = None,
-               **fields: Any) -> KVFuture:
+    def submit(self, op: str, **fields: Any) -> KVFuture:
         """Send a request; the returned future resolves with the
-        :class:`ZkResult`.
-
-        The ``callback`` argument is deprecated: chain the callable with
-        ``.then()`` on the returned future instead (it receives the same
-        :class:`ZkResult`).
-        """
-        if callback is not None:
-            warnings.warn(
-                f"the callback= argument of ZooKeeperClient.{op}_async/"
-                f"submit is deprecated; chain the callable with .then() on "
-                f"the returned KVFuture instead",
-                DeprecationWarning, stacklevel=3)
+        :class:`ZkResult`."""
         xid = next(self._xids)
         request = {"kind": "request", "xid": xid, "op": op}
         request.update(fields)
         future = KVFuture(self.sim, op=op)
         future.xid = xid
-        self._pending[xid] = {"callback": callback, "op": op, "sent_at": self.sim.now,
-                              "future": future}
+        self._pending[xid] = (op, self.sim.now, future)
         self._endpoint.send(request, self.ensemble.config.message_bytes)
         return future
 
-    def get_async(self, path: str, callback=None, watch: bool = False) -> KVFuture:
-        return self.submit("get", callback, path=path, watch=watch)
+    def get_async(self, path: str, watch: bool = False) -> KVFuture:
+        return self.submit("get", path=path, watch=watch)
 
-    def set_async(self, path: str, data, callback=None, version: int = -1) -> KVFuture:
-        return self.submit("set", callback, path=path, data=_to_bytes(data), version=version)
+    def set_async(self, path: str, data, version: int = -1) -> KVFuture:
+        return self.submit("set", path=path, data=_to_bytes(data), version=version)
 
-    def create_async(self, path: str, data=b"", callback=None, ephemeral: bool = False,
+    def create_async(self, path: str, data=b"", ephemeral: bool = False,
                      sequential: bool = False) -> KVFuture:
-        return self.submit("create", callback, path=path, data=_to_bytes(data),
+        return self.submit("create", path=path, data=_to_bytes(data),
                            ephemeral=ephemeral, sequential=sequential)
 
-    def delete_async(self, path: str, callback=None, version: int = -1) -> KVFuture:
-        return self.submit("delete", callback, path=path, version=version)
+    def delete_async(self, path: str, version: int = -1) -> KVFuture:
+        return self.submit("delete", path=path, version=version)
 
-    def children_async(self, path: str, callback=None, watch: bool = False) -> KVFuture:
-        return self.submit("children", callback, path=path, watch=watch)
+    def children_async(self, path: str, watch: bool = False) -> KVFuture:
+        return self.submit("children", path=path, watch=watch)
 
-    def exists_async(self, path: str, callback=None, watch: bool = False) -> KVFuture:
-        return self.submit("exists", callback, path=path, watch=watch)
+    def exists_async(self, path: str, watch: bool = False) -> KVFuture:
+        return self.submit("exists", path=path, watch=watch)
 
     # ------------------------------------------------------------------ #
     # Synchronous API (thin wrappers that drive the simulator).
@@ -181,21 +167,16 @@ class ZooKeeperClient:
         pending = self._pending.pop(message.get("xid"), None)
         if pending is None:
             return
-        latency = self.sim.now - pending["sent_at"]
+        op, sent_at, future = pending
+        latency = self.sim.now - sent_at
         self.completed += 1
-        self.latencies.append(latency)
-        result = ZkResult(ok=message.get("ok", False), op=pending["op"],
+        result = ZkResult(ok=message.get("ok", False), op=op,
                           path=message.get("path"), data=message.get("data", b""),
                           version=message.get("version", 0),
                           children=message.get("children", []),
                           exists=message.get("exists", False),
                           error=message.get("error"), latency=latency)
-        callback = pending["callback"]
-        if callback is not None:
-            callback(result)
-        future = pending.get("future")
-        if future is not None:
-            future.resolve(result)
+        future.resolve(result)
 
 
 class ZooKeeperKVClient(KVClient):
@@ -223,13 +204,26 @@ class ZooKeeperKVClient(KVClient):
         return f"{self.prefix}{name}"
 
     def _to_kv(self, result: ZkResult, op: str, key, started: float) -> KVResult:
+        """The shared result vocabulary: a missing znode is
+        ``key_not_found`` and a lost conditional set ``cas_failed``, as on
+        every other backend; the server's own text stays on ``raw.error``."""
         error = result.error
+        not_found = bool(error and ERR_NO_NODE in error)
+        cas_failed = bool(error and ERR_VERSION_MISMATCH in error)
+        if result.ok:
+            error = None
+        elif not_found:
+            error = "key_not_found"
+        elif cas_failed:
+            error = "cas_failed"
+        else:
+            error = error or "failed"
         return KVResult(ok=result.ok, op=op, key=_raw_key(key),
-                        value=result.data or b"",
-                        not_found=bool(error and ERR_NO_NODE in error),
-                        cas_failed=bool(error and ERR_VERSION_MISMATCH in error),
-                        error=None if result.ok else (error or "failed"),
-                        latency=self.sim.now - started, backend=self.backend, raw=result)
+                        value=result.data or b"", not_found=not_found,
+                        cas_failed=cas_failed, error=error,
+                        latency=self.sim.now - started, backend=self.backend,
+                        version=(0, result.version) if result.ok else None,
+                        raw=result)
 
     # -- the five protocol operations ------------------------------------ #
 

@@ -11,19 +11,18 @@ The agent implements the backend-agnostic :class:`repro.core.client.KVClient`
 protocol: every operation returns a :class:`repro.core.client.KVFuture`
 resolved when the reply (or a terminal retry failure) arrives, so the same
 coordination recipes, load generators and benchmarks drive NetChain and the
-ZooKeeper baseline interchangeably.  The legacy ``callback=`` argument is
-deprecated (it predates the futures API; pass the callable to
-:meth:`KVFuture.then` instead) and warns on use.  The ``*_sync`` wrappers
-remain first-class: they are how synchronous recipes (e.g.
-:class:`repro.core.hybrid.HybridStore`) drive the simulator.
+ZooKeeper baseline interchangeably; chain a callable with
+:meth:`KVFuture.then` to run it on the reply.  The ``*_sync`` wrappers are
+how synchronous recipes (e.g. :class:`repro.core.hybrid.HybridStore`)
+drive the simulator.  The agent counts outcomes but records no latencies:
+whoever issued the query gets it in :attr:`KVResult.latency`.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 from repro.core.client import KVClient, KVFuture, KVResult, KVTimeout, _raw_key
 from repro.core.protocol import (
@@ -42,18 +41,8 @@ from repro.core.protocol import (
 )
 from repro.netsim.host import Host
 from repro.netsim.packet import Packet
-from repro.netsim.stats import LatencyRecorder
 
 _agent_ports = itertools.count(9000)
-
-
-def _warn_callback(op_name: str, callback) -> None:
-    if callback is not None:
-        warnings.warn(
-            f"the callback= argument of NetChainAgent.{op_name} is "
-            f"deprecated; chain the callable with .then() on the returned "
-            f"KVFuture instead",
-            DeprecationWarning, stacklevel=3)
 
 
 class QueryTimeout(KVTimeout):
@@ -106,13 +95,12 @@ class _Pending:
 
     op: OpCode
     key: bytes
-    callback: Optional[Callable[[QueryResult], None]]
     created_at: float
     query_id: int
+    future: KVFuture
+    op_name: str
     value: bytes = b""
     cas_expected: Optional[bytes] = None
-    future: Optional[KVFuture] = None
-    op_name: str = ""
     retries: int = 0
     timer: object = None
     done: bool = False
@@ -153,50 +141,38 @@ class NetChainAgent(KVClient):
         #: ``None`` keeps the query path untraced.
         self.telemetry = None
         # Statistics.
-        self.latency = LatencyRecorder()
-        self.read_latency = LatencyRecorder()
-        self.write_latency = LatencyRecorder()
         self.completed = 0
         self.failed = 0
         self.timeouts = 0
         self.retransmissions = 0
-        self.results_log: List[QueryResult] = []
-        self.log_results = False
 
     # ------------------------------------------------------------------ #
     # Public API (futures; the KVClient protocol).
     # ------------------------------------------------------------------ #
 
-    def read(self, key, callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def read(self, key) -> KVFuture:
         """Read the value of ``key``; the reply comes from the chain tail
         (or, for a tier-managed hot key, a rotated chain replica)."""
-        _warn_callback("read", callback)
         cache = self.read_cache
         if cache is not None:
-            return cache.read(self, key, callback)
-        return self._submit(OpCode.READ, key, callback=callback, op_name="read")
+            return cache.read(self, key)
+        return self._submit(OpCode.READ, key, op_name="read")
 
-    def write(self, key, value, callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def write(self, key, value) -> KVFuture:
         """Write ``value`` under ``key``; the query enters at the chain head."""
-        _warn_callback("write", callback)
         return self._submit(OpCode.WRITE, key, value=normalize_value(value),
-                            callback=callback, op_name="write")
+                            op_name="write")
 
-    def cas(self, key, expected, new_value,
-            callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def cas(self, key, expected, new_value) -> KVFuture:
         """Compare-and-swap, the primitive behind exclusive locks (Section 8.5)."""
-        _warn_callback("cas", callback)
         return self._submit(OpCode.CAS, key, value=normalize_value(new_value),
-                            cas_expected=normalize_value(expected),
-                            callback=callback, op_name="cas")
+                            cas_expected=normalize_value(expected), op_name="cas")
 
-    def delete(self, key, callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def delete(self, key) -> KVFuture:
         """Invalidate ``key`` in the data plane (control plane GC happens later)."""
-        _warn_callback("delete", callback)
-        return self._submit(OpCode.DELETE, key, callback=callback, op_name="delete")
+        return self._submit(OpCode.DELETE, key, op_name="delete")
 
-    def insert(self, key, value=b"",
-               callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def insert(self, key, value=b"") -> KVFuture:
         """Insert a new key.
 
         Inserts are control-plane operations (Section 4.1): the controller
@@ -204,28 +180,23 @@ class NetChainAgent(KVClient):
         than a data-plane query.  The future resolves after the control-plane
         latency plus an initial write of the value.
         """
-        _warn_callback("insert", callback)
         raw_key = _raw_key(key)
         future = KVFuture(self.sim, op="insert", key=raw_key)
         started = self.sim.now
 
-        def finish(result: QueryResult) -> None:
-            if callback is not None:
-                callback(result)
-            kv = self._to_kv(result, "insert")
+        def finish(result: KVResult) -> None:
             # The future reports the full elapsed time including the
             # control-plane install, which dominates; the raw QueryResult
             # keeps the data-plane write latency.
-            kv.latency = self.sim.now - started
-            future.resolve(kv)
+            future.resolve(replace(result, op="insert",
+                                   latency=self.sim.now - started))
 
         def after_insert() -> None:
             if value:
-                self._submit(OpCode.WRITE, key, value=normalize_value(value),
-                             callback=finish, op_name="write")
+                self.write(key, value).then(finish)
             else:
-                finish(QueryResult(ok=True, op=OpCode.INSERT, key=raw_key,
-                                   status=QueryStatus.OK))
+                finish(self._to_kv(QueryResult(ok=True, op=OpCode.INSERT, key=raw_key,
+                                               status=QueryStatus.OK), "insert"))
 
         self.directory.insert_key(key, on_done=after_insert)
         return future
@@ -285,7 +256,8 @@ class NetChainAgent(KVClient):
                         cas_failed=status == QueryStatus.CAS_FAILED,
                         timed_out=result.timed_out, error=error,
                         latency=result.latency, retries=result.retries,
-                        backend=self.backend, raw=result)
+                        backend=self.backend,
+                        version=(result.session, result.seq), raw=result)
 
     def _route(self, key):
         """(chain IPs, vgroup, epoch) for a key, from the directory.
@@ -331,18 +303,15 @@ class NetChainAgent(KVClient):
         header.query_id = pending.query_id
         return header, dst_ip
 
-    def _submit(self, op: OpCode, key, value: bytes = b"",
-                cas_expected: Optional[bytes] = None,
-                callback: Optional[Callable[[QueryResult], None]] = None,
-                op_name: str = "") -> KVFuture:
+    def _submit(self, op: OpCode, key, op_name: str, value: bytes = b"",
+                cas_expected: Optional[bytes] = None) -> KVFuture:
         raw_key = normalize_key(key)
         query_id = next_query_id()
         future = KVFuture(self.sim, op=op_name, key=raw_key)
         future.query_id = query_id
-        pending = _Pending(op=op, key=raw_key, callback=callback,
-                           created_at=self.sim.now, query_id=query_id,
-                           value=value, cas_expected=cas_expected,
-                           future=future, op_name=op_name)
+        pending = _Pending(op=op, key=raw_key, created_at=self.sim.now,
+                           query_id=query_id, future=future, op_name=op_name,
+                           value=value, cas_expected=cas_expected)
         self._pending[query_id] = pending
         tel = self.telemetry
         if tel is not None:
@@ -378,7 +347,7 @@ class NetChainAgent(KVClient):
             tel = self.telemetry
             if tel is not None:
                 tel.query_timeout(self, pending)
-            self._finish(pending, result)
+            pending.future.resolve(self._to_kv(result, pending.op_name))
             return
         pending.retries += 1
         self.retransmissions += 1
@@ -402,20 +371,7 @@ class NetChainAgent(KVClient):
         self.completed += 1
         if not ok:
             self.failed += 1
-        self.latency.record(latency)
-        if header.op == OpCode.READ_REPLY:
-            self.read_latency.record(latency)
-        elif header.op in (OpCode.WRITE_REPLY, OpCode.CAS_REPLY, OpCode.DELETE_REPLY):
-            self.write_latency.record(latency)
         tel = self.telemetry
         if tel is not None:
             tel.query_reply(self, pending, header, latency)
-        self._finish(pending, result)
-
-    def _finish(self, pending: _Pending, result: QueryResult) -> None:
-        if self.log_results:
-            self.results_log.append(result)
-        if pending.callback is not None:
-            pending.callback(result)
-        if pending.future is not None:
-            pending.future.resolve(self._to_kv(result, pending.op_name))
+        pending.future.resolve(self._to_kv(result, pending.op_name))

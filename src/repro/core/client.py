@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class KVTimeout(Exception):
@@ -40,9 +40,16 @@ class KVTimeout(Exception):
 class KVResult:
     """Backend-neutral outcome of one key-value operation.
 
-    ``raw`` carries the backend's native result object (``QueryResult`` for
-    NetChain, ``ZkResult`` for ZooKeeper) for callers that need
-    backend-specific detail such as version numbers.
+    ``version`` is the version of the item the operation observed or
+    wrote, as a comparable ``(session, seq)`` pair, filled by each backend:
+    NetChain always reports the reply's ``(session, seq)``; ZooKeeper and
+    the server baselines report ``(0, version)`` on success and ``None``
+    otherwise; the hybrid store passes the network tier's version through
+    and reports ``None`` for server-tier operations.  History recording
+    reads it for the per-key version-monotonicity check.
+
+    ``raw`` carries the backend's native result object when it has one
+    (``QueryResult`` for NetChain, ``ZkResult`` for ZooKeeper).
     """
 
     ok: bool
@@ -59,6 +66,7 @@ class KVResult:
     latency: float = 0.0
     retries: int = 0
     backend: str = ""
+    version: Optional[Tuple[int, int]] = None
     raw: Any = None
 
     @property

@@ -65,7 +65,7 @@ class HistoryOp:
     timed_out: bool = False
     #: Client-side retransmissions of this op (NetChain's UDP retries).
     retries: int = 0
-    #: (session, seq) when the backend exposes versions (NetChain).
+    #: The backend-reported version (:attr:`KVResult.version`), if any.
     version: Optional[Tuple[int, int]] = None
 
     @property
@@ -149,11 +149,7 @@ class History:
         record.retries = int(getattr(result, "retries", 0) or 0)
         if record.op == "read" and result.ok:
             record.output = bytes(result.value)
-        raw = result.raw
-        if raw is not None and hasattr(raw, "session") and hasattr(raw, "seq"):
-            record.version = (raw.session, raw.seq)
-        elif raw is not None and hasattr(raw, "version") and result.ok:
-            record.version = (0, raw.version)
+        record.version = result.version
 
     # -- views ----------------------------------------------------------- #
 

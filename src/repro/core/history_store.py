@@ -593,11 +593,7 @@ class SpillingHistory:
         record.retries = int(getattr(result, "retries", 0) or 0)
         if record.op == "read" and result.ok:
             record.output = bytes(result.value)
-        raw = result.raw
-        if raw is not None and hasattr(raw, "session") and hasattr(raw, "seq"):
-            record.version = (raw.session, raw.seq)
-        elif raw is not None and hasattr(raw, "version") and result.ok:
-            record.version = (0, raw.version)
+        record.version = result.version
         self.writer.append(record)
         self._pending.pop(record.op_id, None)
 

@@ -461,7 +461,8 @@ class HybridKVClient(KVClient):
                 future.resolve(KVResult(ok=deleted, op="delete", key=raw,
                                         not_found=not deleted,
                                         latency=result.latency,
-                                        backend=self.backend, raw=result.raw))
+                                        backend=self.backend,
+                                        version=result.version, raw=result.raw))
             self.agent.delete(key).then(on_delete)
         else:
             self._server_result(future, "delete", raw, ok=server_deleted,

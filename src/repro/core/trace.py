@@ -171,7 +171,7 @@ class Tracer:
         tid = self._next_id
         self._next_id = tid + 1
         self._span({"t": self.sim._now, "id": tid, "ev": "sub",
-                    "n": agent.name, "op": pending.op_name or pending.op.name.lower(),
+                    "n": agent.name, "op": pending.op_name,
                     "key": _key_label(pending.key)})
         return tid
 
@@ -183,8 +183,7 @@ class Tracer:
         registry = self.registry
         if registry is not None:
             registry.histogram("query_latency_s").record(latency)
-            if pending.op_name:
-                registry.histogram(f"query_latency_s:{pending.op_name}").record(latency)
+            registry.histogram(f"query_latency_s:{pending.op_name}").record(latency)
         if pending.trace_id:
             rec = {"t": self.sim._now, "id": pending.trace_id, "ev": "rep",
                    "n": agent.name, "st": header.status.name.lower(),

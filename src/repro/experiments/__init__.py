@@ -9,9 +9,11 @@ EXPERIMENTS.md records the paper-vs-measured comparison.
 
 from repro.deploy import (
     DeploymentSpec,
+    NetChainDeployment,
     ScenarioChecks,
     ScenarioResult,
     WorkloadSpec,
+    ZooKeeperDeployment,
     available_backends,
     build_deployment,
     run_scenario,
@@ -30,12 +32,6 @@ from repro.experiments.failures import (
 )
 from repro.experiments.latency import LatencyPoint, netchain_latency_curve, zookeeper_latency_curve
 from repro.experiments.scalability import scalability_experiment
-from repro.experiments.setup import (
-    NetChainDeployment,
-    ZooKeeperDeployment,
-    build_netchain_deployment,
-    build_zookeeper_deployment,
-)
 from repro.experiments.tables import table1
 from repro.experiments.throughput import (
     ThroughputResult,
@@ -59,8 +55,6 @@ __all__ = [
     "run_scenario",
     "NetChainDeployment",
     "ZooKeeperDeployment",
-    "build_netchain_deployment",
-    "build_zookeeper_deployment",
     "ThroughputResult",
     "netchain_throughput",
     "zookeeper_throughput",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.agent import AgentConfig, NetChainAgent, QueryTimeout
-from repro.core.protocol import OpCode, QueryStatus
+from repro.core.protocol import QueryStatus
 
 
 def test_write_then_read_roundtrip(cluster, agent):
@@ -100,34 +100,6 @@ def test_async_callbacks_and_outstanding_tracking(cluster, agent):
     assert len(results) == 2
     assert agent.outstanding() == 0
     assert agent.completed == 2
-
-
-def test_callback_kwarg_is_deprecated_but_still_fires(cluster, agent):
-    cluster.controller.populate(["a"])
-    results = []
-    with pytest.deprecated_call():
-        agent.read("a", callback=results.append)
-    cluster.run(until=cluster.sim.now + 0.01)
-    assert len(results) == 1
-    assert results[0].ok
-
-
-def test_agent_statistics_separate_reads_and_writes(cluster, agent):
-    cluster.controller.populate(["k"])
-    agent.write_sync("k", b"v")
-    agent.read_sync("k")
-    agent.read_sync("k")
-    assert agent.read_latency.count() == 2
-    assert agent.write_latency.count() == 1
-    assert agent.latency.count() == 3
-
-
-def test_result_logging_opt_in(cluster, agent):
-    cluster.controller.populate(["k"])
-    agent.log_results = True
-    agent.read_sync("k")
-    assert len(agent.results_log) == 1
-    assert agent.results_log[0].op == OpCode.READ_REPLY
 
 
 def test_value_sizes_up_to_prototype_limit(cluster, agent):

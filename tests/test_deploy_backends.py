@@ -78,24 +78,29 @@ def test_initial_values_match_preload(backend):
     assert all(value == bytes(16) for value in initial.values())
 
 
-@pytest.mark.parametrize("backend", ["server-chain", "primary-backup"])
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_server_baseline_cas_and_delete(backend):
+    # Every backend reports outcomes in the same vocabulary: the flags and
+    # the ``error`` strings agree, whatever the native protocol says.
     deployment = build_deployment(small_spec(backend))
     client = deployment.clients(1)[0]
     key = deployment.keys[0]
 
     lost = client.cas(key, b"wrong-expectation", b"stolen").result()
     assert not lost.ok and lost.cas_failed
+    assert lost.error == "cas_failed"
     assert client.read(key).result().value == bytes(16)
 
     won = client.cas(key, bytes(16), b"swapped").result()
     assert won.ok, won.error
+    assert won.error is None
     assert client.read(key).result().value == b"swapped"
 
     deleted = client.delete(key).result()
     assert deleted.ok
     gone = client.read(key).result()
     assert not gone.ok and gone.not_found
+    assert gone.error == "key_not_found"
 
     created = client.insert("fresh", b"value").result()
     assert created.ok
@@ -128,7 +133,7 @@ def test_multiple_clients_on_one_host_all_get_replies(backend):
     # client names made the second registration shadow the first).
     deployment = build_deployment(small_spec(backend))
     first, second = deployment.clients(2)
-    assert first.client.name != second.client.name
+    assert first.name != second.name
     futures = [first.write("a", b"1"), second.write("b", b"2")]
     assert all(future.result().ok for future in futures)
     assert first.read("b").result().value == b"2"

@@ -131,7 +131,7 @@ def test_initial_values_round_trip_through_meta(tmp_path):
         not_found = cas_failed = timed_out = False
         retries = 0
         value = b"va"
-        raw = None
+        version = None
 
     spilling.complete(record, Result())
     store = spilling.finish()

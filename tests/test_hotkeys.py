@@ -354,6 +354,17 @@ def test_cache_callbacks_fire_per_waiter():
     assert len(results) == 5
     assert all(r.ok for r in results)
 
+    # Each waiter's latency runs from its own invocation: a read coalesced
+    # 1 us after the network read reports 1 us less, with the same reply.
+    leader = agent.read("k00000000")
+    cluster.run(until=cluster.sim.now + 1e-6)
+    waiter = agent.read("k00000000")
+    assert not leader.done()
+    first, second = leader.result(), waiter.result()
+    assert first.latency - second.latency == pytest.approx(1e-6, abs=1e-12)
+    assert second.value == first.value
+    assert first.version is not None and second.version == first.version
+
 
 # --------------------------------------------------------------------- #
 # End to end: scenarios with the tier on.

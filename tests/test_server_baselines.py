@@ -24,16 +24,16 @@ def make_hosts(n=4):
 def test_chain_write_read_roundtrip():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    assert client.write("k", b"v1").ok
-    assert client.read("k").value == b"v1"
+    client = cluster.kv_client(hosts[3])
+    assert client.write("k", b"v1").result().ok
+    assert client.read("k").result().value == b"v1"
 
 
 def test_chain_write_applies_on_every_replica():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    client.write("k", b"v1")
+    client = cluster.kv_client(hosts[3])
+    client.write("k", b"v1").result()
     for replica in cluster.replicas:
         assert replica.store["k"][0] == b"v1"
 
@@ -41,17 +41,17 @@ def test_chain_write_applies_on_every_replica():
 def test_chain_versions_increase():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    versions = [client.write("k", f"v{i}".encode()).version for i in range(3)]
-    assert versions == [1, 2, 3]
+    client = cluster.kv_client(hosts[3])
+    versions = [client.write("k", f"v{i}".encode()).result().version for i in range(3)]
+    assert versions == [(0, 1), (0, 2), (0, 3)]
 
 
 def test_chain_read_of_missing_key_returns_empty():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    result = client.read("absent")
-    assert result.ok and result.value == b""
+    client = cluster.kv_client(hosts[3])
+    result = client.read("absent").result()
+    assert not result.ok and result.not_found and result.value == b""
 
 
 def test_chain_message_count_is_n_plus_one():
@@ -63,9 +63,9 @@ def test_chain_message_count_is_n_plus_one():
 def test_single_node_chain_works():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:1])
-    client = cluster.client(hosts[3])
-    assert client.write("k", b"x").ok
-    assert client.read("k").value == b"x"
+    client = cluster.kv_client(hosts[3])
+    assert client.write("k", b"x").result().ok
+    assert client.read("k").result().value == b"x"
 
 
 def test_chain_requires_servers():
@@ -80,16 +80,16 @@ def test_chain_requires_servers():
 def test_pb_write_read_roundtrip():
     topo, hosts = make_hosts()
     cluster = PrimaryBackupCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    assert client.write("k", b"v1").ok
-    assert client.read("k").value == b"v1"
+    client = cluster.kv_client(hosts[3])
+    assert client.write("k", b"v1").result().ok
+    assert client.read("k").result().value == b"v1"
 
 
 def test_pb_write_waits_for_all_backups():
     topo, hosts = make_hosts()
     cluster = PrimaryBackupCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    client.write("k", b"v1")
+    client = cluster.kv_client(hosts[3])
+    client.write("k", b"v1").result()
     for backup in cluster.backups:
         assert backup.store["k"][0] == b"v1"
         assert backup.updates_applied == 1
